@@ -19,7 +19,7 @@
 //! distance is handled by the synchronization.
 
 use kn_ddg::{all_intra_topo_orders, intra_topo_order, Ddg, InstanceId, NodeId};
-use kn_sched::{static_times, Cycle, MachineConfig, Program, ProgramError, TimedProgram};
+use kn_sched::{static_times_complete, Cycle, MachineConfig, Program, ProgramError, TimedProgram};
 
 /// How the loop body is ordered inside each iteration.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -204,8 +204,7 @@ pub fn doacross_schedule(
 ) -> Result<DoacrossSchedule, ProgramError> {
     let body_order = choose_order(g, m, &opts.reorder);
     let program = doacross_program(&body_order, m.processors, iters);
-    program.check_complete(g)?;
-    let timing = static_times(&program, g, m)?;
+    let timing = static_times_complete(&program, g, m)?;
     if let Some(certify) = opts.certify {
         certify(g, m, &timing).map_err(ProgramError::Certify)?;
     }

@@ -19,10 +19,10 @@
 
 use crate::ifconv::{effective_reads, GuardedAssign};
 use crate::stmt::Target;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Kind of dependence.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum DependenceKind {
     /// Read after write (true dependence).
     Flow,
@@ -33,7 +33,9 @@ pub enum DependenceKind {
 }
 
 /// A dependence between two body statements (indices into the flat body).
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+/// Ordered by `(src, dst, distance, kind, var)` — the order
+/// [`analyze_dependences`] reports them in.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Dependence {
     pub src: usize,
     pub dst: usize,
@@ -70,8 +72,8 @@ struct Access {
 /// Compute all dependences of a flat (if-converted) body.
 pub fn analyze_dependences(body: &[GuardedAssign], opts: &AnalysisOptions) -> Vec<Dependence> {
     // Group accesses by variable.
-    let mut accesses: HashMap<String, Vec<Access>> = HashMap::new();
-    let mut scalar_vars: HashSet<String> = HashSet::new();
+    let mut accesses: BTreeMap<String, Vec<Access>> = BTreeMap::new();
+    let mut scalar_vars: BTreeSet<String> = BTreeSet::new();
     for (i, ga) in body.iter().enumerate() {
         let (arrays, scalars) = effective_reads(ga);
         for (a, off) in arrays {
@@ -108,7 +110,7 @@ pub fn analyze_dependences(body: &[GuardedAssign], opts: &AnalysisOptions) -> Ve
         }
     }
 
-    let mut deps: HashSet<Dependence> = HashSet::new();
+    let mut deps: BTreeSet<Dependence> = BTreeSet::new();
     for (var, accs) in &accesses {
         let is_scalar = scalar_vars.contains(var);
         let privatized = is_scalar && opts.scalar_expansion && {
@@ -165,14 +167,12 @@ pub fn analyze_dependences(body: &[GuardedAssign], opts: &AnalysisOptions) -> Ve
             }
         }
     }
-    let mut out: Vec<Dependence> = deps.into_iter().collect();
-    out.sort_by_key(|d| (d.src, d.dst, d.distance, d.kind as u8, d.var.clone()));
-    out
+    deps.into_iter().collect()
 }
 
 #[allow(clippy::too_many_arguments)]
 fn push_dep(
-    deps: &mut HashSet<Dependence>,
+    deps: &mut BTreeSet<Dependence>,
     src: &Access,
     dst: &Access,
     delta: i32,

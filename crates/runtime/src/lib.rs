@@ -159,11 +159,10 @@ pub fn run_sequential(g: &Ddg, sem: &Semantics, iters: u32) -> Values {
 /// program, e.g. a Cyclic core in isolation).
 pub fn run_threaded(g: &Ddg, sem: &Semantics, prog: &Program) -> Result<Values, RuntimeError> {
     // A deadlocking order would hang real threads; reject it up front using
-    // the static timing oracle (costs are irrelevant for feasibility).
+    // the static timing oracle (costs are irrelevant for feasibility). The
+    // table it indexed the program into doubles as the processor lookup.
     let probe = kn_sched::MachineConfig::new(prog.processors().max(1), 1);
-    kn_sched::static_times(prog, g, &probe)?;
-
-    let assign = prog.assignment();
+    let assign = kn_sched::static_times(prog, g, &probe)?.start;
     let nprocs = prog.processors();
     type Msg = ((u32, u32), u64);
     let mut senders = Vec::with_capacity(nprocs);
@@ -185,9 +184,9 @@ pub fn run_threaded(g: &Ddg, sem: &Semantics, prog: &Program) -> Result<Values, 
                 let mut local: Values = HashMap::with_capacity(seq.len());
                 let mut inbox: HashMap<(u32, u32), u64> = HashMap::new();
                 for &inst in seq {
-                    let inputs = gather_inputs(g, inst, |pred| match assign.get(&pred) {
+                    let inputs = gather_inputs(g, inst, |pred| match assign.proc_of(pred) {
                         None => Semantics::boundary(pred.node),
-                        Some(&pp) if pp == p => local[&(pred.node, pred.iter)],
+                        Some(pp) if pp == p => local[&(pred.node, pred.iter)],
                         Some(_) => {
                             let key = (pred.node.0, pred.iter);
                             loop {
@@ -209,7 +208,7 @@ pub fn run_threaded(g: &Ddg, sem: &Semantics, prog: &Program) -> Result<Values, 
                             node: e.dst,
                             iter: inst.iter + e.distance,
                         };
-                        if let Some(&sp) = assign.get(&succ) {
+                        if let Some(sp) = assign.proc_of(succ) {
                             if sp != p && !sent.contains(&sp) {
                                 sent.push(sp);
                                 senders[sp]

@@ -19,6 +19,8 @@
 //!   the Cyclic core, attach the non-Cyclic subsets;
 //! * [`program`] / [`table`] — executable per-processor programs, static
 //!   timing, schedule tables, and validity checking;
+//! * [`dense`] — the per-instance index (`node * iters + iter`) and the flat
+//!   `(proc, start)` table every timing consumer in the workspace reads;
 //! * [`codegen`] — the transformed-loop pretty printer (the PARBEGIN/PAREND
 //!   forms of the paper's Figures 7(e) and 10);
 //! * [`mod@reference`] — the retained map-based scheduler, kept as the
@@ -55,8 +57,19 @@
 //!   of allocating + sorting a [`state::CanonState`]; full states are
 //!   materialized only on fingerprint hits, and every hit is confirmed by
 //!   replay before a pattern is returned ([`state::FingerprintDictionary`]);
-//! * the simulators in `kn-sim` index per-instance tables by
-//!   `node * iters + iter` instead of hashing `InstanceId`s;
+//! * every per-instance store between a [`Program`] and a response is one
+//!   [`StartTable`]: a flat vector addressed by [`InstanceIndex`]
+//!   (`node * iters + iter`; a compact map only for degenerate hand-built
+//!   programs). [`Program::check_complete`], [`static_times`],
+//!   [`TimedProgram::start`], `kn_sim::SimResult::start`, both simulators,
+//!   `kn_runtime::run_threaded` and `kn-verify`'s certifiers read it — no
+//!   `HashMap<InstanceId, _>` is built on the request path;
+//! * there is one timing sweep, [`sweep`], parameterised by what a message
+//!   costs: [`static_times`] prices messages at the machine's estimate,
+//!   `kn_sim::simulate` adds the traffic model's fluctuation and counts
+//!   them. [`schedule_loop`] and `kn_doacross::doacross_schedule` check
+//!   completeness and time each program off a single index build
+//!   ([`static_times_complete`]);
 //! * `kn-core`'s experiment drivers fan independent (workload, machine)
 //!   cells out across threads and reduce in deterministic seed order.
 //!
@@ -66,6 +79,7 @@
 
 pub mod codegen;
 pub mod cyclic;
+pub mod dense;
 pub mod flow;
 pub mod full;
 pub mod machine;
@@ -81,11 +95,14 @@ pub use cyclic::{
     cyclic_schedule, enumeration_order, greedy_finite, greedy_unbounded, CyclicError,
     CyclicOptions, DetectorKind,
 };
+pub use dense::{InstanceIndex, StartTable};
 pub use full::{
     schedule_loop, CertifyHook, FlowDecision, FullOptions, LoopSchedule, SchedLoopError,
 };
 pub use machine::{ArrivalConvention, Cycle, MachineConfig};
 pub use pattern::{BlockSchedule, Pattern, PatternOutcome};
-pub use program::{static_times, Program, ProgramError, TimedProgram};
+pub use program::{
+    static_times, static_times_complete, sweep, Program, ProgramError, TimedProgram,
+};
 pub use stats::{pattern_stats, PatternStats, ProcLoad};
 pub use table::{Placement, ScheduleError, ScheduleTable};

@@ -10,11 +10,13 @@
 //!
 //! [`static_times`] computes those start times under the machine's fixed
 //! cost estimates; the `kn-sim` crate re-executes the same program under
-//! fluctuating costs (the paper's §4 `mm` experiments).
+//! fluctuating costs (the paper's §4 `mm` experiments). Both are the same
+//! fixpoint [`sweep`] over the program's dense [`StartTable`], differing
+//! only in what a message costs.
 
+use crate::dense::StartTable;
 use crate::machine::{Cycle, MachineConfig};
-use kn_ddg::{Ddg, InstanceId};
-use std::collections::HashMap;
+use kn_ddg::{Ddg, Edge, EdgeId, InstanceId};
 
 /// Per-processor instance sequences for `iters` iterations of a loop.
 #[derive(Clone, Debug)]
@@ -41,17 +43,6 @@ impl Program {
         self.len() == 0
     }
 
-    /// Processor assignment lookup table.
-    pub fn assignment(&self) -> HashMap<InstanceId, usize> {
-        let mut m = HashMap::with_capacity(self.len());
-        for (p, seq) in self.seqs.iter().enumerate() {
-            for &inst in seq {
-                m.insert(inst, p);
-            }
-        }
-        m
-    }
-
     /// Number of processors that execute at least one instance.
     pub fn used_processors(&self) -> usize {
         self.seqs.iter().filter(|s| !s.is_empty()).count()
@@ -59,24 +50,10 @@ impl Program {
 
     /// Check that the program covers each instance of `g`'s nodes for
     /// iterations `0..iters` exactly once. Returns the set sizes on failure.
+    /// To check *and* time a program off one index build, use
+    /// [`static_times_complete`].
     pub fn check_complete(&self, g: &Ddg) -> Result<(), ProgramError> {
-        let expect = g.node_count() * self.iters as usize;
-        let assign = self.assignment();
-        if assign.len() != self.len() {
-            return Err(ProgramError::DuplicateInstance);
-        }
-        if assign.len() != expect {
-            return Err(ProgramError::IncompleteCover {
-                have: assign.len(),
-                want: expect,
-            });
-        }
-        for inst in assign.keys() {
-            if inst.node.index() >= g.node_count() || inst.iter >= self.iters {
-                return Err(ProgramError::ForeignInstance(*inst));
-            }
-        }
-        Ok(())
+        StartTable::for_program(self, g)?.check_complete(self, g)
     }
 }
 
@@ -87,7 +64,8 @@ pub enum ProgramError {
     DuplicateInstance,
     /// Not every instance of the iteration range is covered.
     IncompleteCover { have: usize, want: usize },
-    /// An instance references a node/iteration outside the program's range.
+    /// An instance references a node/iteration outside the program's range
+    /// (the first such instance in program order).
     ForeignInstance(InstanceId),
     /// The per-processor orders deadlock: a dependence points "backwards"
     /// (processor A waits for an instance that sits *behind* another
@@ -124,7 +102,7 @@ impl std::error::Error for ProgramError {}
 #[derive(Clone, Debug)]
 pub struct TimedProgram {
     /// Start cycle and processor of every instance.
-    pub start: HashMap<InstanceId, (usize, Cycle)>,
+    pub start: StartTable,
     /// Completion time of the whole program.
     pub makespan: Cycle,
 }
@@ -132,13 +110,104 @@ pub struct TimedProgram {
 impl TimedProgram {
     /// Start cycle of an instance, if present.
     pub fn start_of(&self, inst: InstanceId) -> Option<Cycle> {
-        self.start.get(&inst).map(|&(_, t)| t)
+        self.start.start_of(inst)
     }
 
     /// Processor of an instance, if present.
     pub fn proc_of(&self, inst: InstanceId) -> Option<usize> {
-        self.start.get(&inst).map(|&(p, _)| p)
+        self.start.proc_of(inst)
     }
+}
+
+/// The asynchronous execution of `prog`, as the least fixpoint of its
+/// dataflow constraints: every processor executes its sequence in order,
+/// starting each instance at `max(previous finish on this processor,
+/// operand-ready times)`. This is the one timing sweep in the workspace —
+/// [`static_times`] runs it with the machine's estimated message costs,
+/// `kn_sim::simulate` with fluctuating ones.
+///
+/// `start` is the program's table as [`StartTable::for_program`] built it
+/// (every instance assigned, none timed). `message_cost(edge id, edge,
+/// consumer iteration)` prices one cross-processor message; it is invoked
+/// every time a head instance's operands are examined, so an instance that
+/// is examined, found blocked on a later operand and examined again prices
+/// its earlier messages again (callers that count invocations inherit the
+/// simulator's long-standing message accounting).
+///
+/// Returns the filled table and each processor's finish cycle.
+pub fn sweep(
+    prog: &Program,
+    g: &Ddg,
+    m: &MachineConfig,
+    mut start: StartTable,
+    mut message_cost: impl FnMut(EdgeId, &Edge, u32) -> u32,
+) -> Result<(StartTable, Vec<Cycle>), ProgramError> {
+    let total = prog.len();
+    let mut head = vec![0usize; prog.processors()];
+    let mut clock = vec![0 as Cycle; prog.processors()];
+
+    // Round-robin sweep: time any processor whose head instance has all
+    // operands timed. Terminates in at most `total` productive rounds.
+    loop {
+        let mut progress = false;
+        for (p, seq) in prog.seqs.iter().enumerate() {
+            // A processor may become ready again immediately; drain greedily.
+            'drain: while let Some(&inst) = seq.get(head[p]) {
+                let mut ready: Cycle = clock[p];
+                for (eid, e) in g.in_edges(inst.node) {
+                    if e.distance > inst.iter {
+                        continue;
+                    }
+                    let pred = InstanceId {
+                        node: e.src,
+                        iter: inst.iter - e.distance,
+                    };
+                    match start.lookup(pred) {
+                        // Not in the program: ready at 0.
+                        None => {}
+                        Some((_, None)) => break 'drain,
+                        Some((sp, Some(st))) => {
+                            let fin = m.finish(st, g.latency(pred.node));
+                            let r = if sp == p {
+                                m.local_ready(fin)
+                            } else {
+                                m.remote_ready(fin, message_cost(eid, e, inst.iter))
+                            };
+                            ready = ready.max(r);
+                        }
+                    }
+                }
+                start.set_start(inst, ready);
+                clock[p] = m.finish(ready, g.latency(inst.node));
+                head[p] += 1;
+                progress = true;
+            }
+        }
+        if start.len() == total {
+            return Ok((start, clock));
+        }
+        if !progress {
+            return Err(ProgramError::Deadlock {
+                timed: start.len(),
+                total,
+            });
+        }
+    }
+}
+
+/// [`sweep`] under the machine's *estimated* costs, on a table already
+/// built for `prog`.
+fn time_table(
+    prog: &Program,
+    g: &Ddg,
+    m: &MachineConfig,
+    table: StartTable,
+) -> Result<TimedProgram, ProgramError> {
+    let (start, finish) = sweep(prog, g, m, table, |_, e, _| m.edge_cost(e))?;
+    Ok(TimedProgram {
+        start,
+        makespan: finish.into_iter().max().unwrap_or(0),
+    })
 }
 
 /// Compute start times for a program under the machine's *estimated* costs:
@@ -156,74 +225,19 @@ pub fn static_times(
     g: &Ddg,
     m: &MachineConfig,
 ) -> Result<TimedProgram, ProgramError> {
-    let assign = prog.assignment();
-    if assign.len() != prog.len() {
-        return Err(ProgramError::DuplicateInstance);
-    }
-    let total = prog.len();
-    let mut start: HashMap<InstanceId, (usize, Cycle)> = HashMap::with_capacity(total);
-    let mut head = vec![0usize; prog.processors()];
-    let mut clock = vec![0 as Cycle; prog.processors()];
-    let mut timed = 0usize;
-    let mut makespan = 0;
+    time_table(prog, g, m, StartTable::for_program(prog, g)?)
+}
 
-    // Round-robin sweep: time any processor whose head instance has all
-    // operands timed. Terminates in at most `total` productive rounds.
-    loop {
-        let mut progress = false;
-        for p in 0..prog.processors() {
-            // A processor may become ready again immediately; drain greedily.
-            while head[p] < prog.seqs[p].len() {
-                let inst = prog.seqs[p][head[p]];
-                let mut ready: Cycle = clock[p];
-                let mut ok = true;
-                for (_, e) in g.in_edges(inst.node) {
-                    if e.distance > inst.iter {
-                        continue;
-                    }
-                    let pred = InstanceId {
-                        node: e.src,
-                        iter: inst.iter - e.distance,
-                    };
-                    if let Some(pp) = assign.get(&pred) {
-                        match start.get(&pred) {
-                            Some(&(sp, st)) => {
-                                let fin = m.finish(st, g.latency(pred.node));
-                                let r = if sp == p {
-                                    m.local_ready(fin)
-                                } else {
-                                    m.remote_ready(fin, m.edge_cost(e))
-                                };
-                                ready = ready.max(r);
-                                debug_assert_eq!(sp, *pp);
-                            }
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    // pred not in program: ready at 0.
-                }
-                if !ok {
-                    break;
-                }
-                let fin = m.finish(ready, g.latency(inst.node));
-                start.insert(inst, (p, ready));
-                clock[p] = fin;
-                makespan = makespan.max(fin);
-                head[p] += 1;
-                timed += 1;
-                progress = true;
-            }
-        }
-        if timed == total {
-            return Ok(TimedProgram { start, makespan });
-        }
-        if !progress {
-            return Err(ProgramError::Deadlock { timed, total });
-        }
-    }
+/// [`Program::check_complete`] followed by [`static_times`], off a single
+/// index build — what the schedulers run on every program they emit.
+pub fn static_times_complete(
+    prog: &Program,
+    g: &Ddg,
+    m: &MachineConfig,
+) -> Result<TimedProgram, ProgramError> {
+    let table = StartTable::for_program(prog, g)?;
+    table.check_complete(prog, g)?;
+    time_table(prog, g, m, table)
 }
 
 #[cfg(test)]
@@ -363,6 +377,31 @@ mod tests {
             foreign.check_complete(&g).unwrap_err(),
             ProgramError::ForeignInstance(_)
         ));
+    }
+
+    #[test]
+    fn foreign_instance_report_is_the_first_in_program_order() {
+        // Two foreign instances and the right instance count: the report
+        // must name the first in program order (P0 before P1, front to
+        // back), not whichever a hash iteration yields.
+        let mut b = DdgBuilder::new();
+        let _x = b.node("x");
+        let _y = b.node("y");
+        let g = b.build().unwrap();
+        let prog = Program {
+            seqs: vec![vec![inst(0, 0), inst(7, 0)], vec![inst(1, 3), inst(1, 0)]],
+            iters: 2,
+        };
+        for _ in 0..8 {
+            assert_eq!(
+                prog.check_complete(&g).unwrap_err(),
+                ProgramError::ForeignInstance(inst(7, 0))
+            );
+            assert_eq!(
+                static_times_complete(&prog, &g, &MachineConfig::new(2, 1)).unwrap_err(),
+                ProgramError::ForeignInstance(inst(7, 0))
+            );
+        }
     }
 
     #[test]

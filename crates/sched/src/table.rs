@@ -80,14 +80,10 @@ impl ScheduleTable {
         }
     }
 
-    /// Build from a timed program.
+    /// Build from a timed program (placements in the start table's slot
+    /// order).
     pub fn from_timed(t: &TimedProgram) -> Self {
-        let placements = t
-            .start
-            .iter()
-            .map(|(&inst, &(proc, start))| Placement { inst, proc, start })
-            .collect();
-        Self::new(placements)
+        Self::new(t.start.iter().collect())
     }
 
     /// All placements (unspecified order).
@@ -151,6 +147,11 @@ impl ScheduleTable {
     /// dependence between two *placed* instances must respect local/remote
     /// operand-ready times. Dependences whose producer is not in the table
     /// are ignored (they belong to a different scheduling phase).
+    ///
+    /// Which violation is reported is a function of the table alone: the
+    /// first duplicate in placement order, else the overlap on the lowest
+    /// processor (earliest start first), else the first violated dependence
+    /// in placement order.
     pub fn validate(&self, g: &Ddg, m: &MachineConfig) -> Result<(), ScheduleError> {
         if self.by_inst.len() != self.placements.len() {
             // find the duplicate for a useful message
@@ -161,22 +162,18 @@ impl ScheduleTable {
                 }
             }
         }
-        // Overlap check per processor.
-        let mut per_proc: HashMap<usize, Vec<&Placement>> = HashMap::new();
-        for p in &self.placements {
-            per_proc.entry(p.proc).or_default().push(p);
-        }
-        for (proc, mut ps) in per_proc {
-            ps.sort_by_key(|p| p.start);
-            for w in ps.windows(2) {
-                let (a, b) = (w[0], w[1]);
-                if a.start + g.latency(a.inst.node) as Cycle > b.start {
-                    return Err(ScheduleError::Overlap {
-                        proc,
-                        a: a.inst,
-                        b: b.inst,
-                    });
-                }
+        // Overlap check per processor, processors in ascending order (the
+        // sort is stable, so equal starts keep placement order).
+        let mut by_proc: Vec<&Placement> = self.placements.iter().collect();
+        by_proc.sort_by_key(|p| (p.proc, p.start));
+        for w in by_proc.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            if a.proc == b.proc && a.start + g.latency(a.inst.node) as Cycle > b.start {
+                return Err(ScheduleError::Overlap {
+                    proc: a.proc,
+                    a: a.inst,
+                    b: b.inst,
+                });
             }
         }
         // Dependence check.
@@ -341,6 +338,34 @@ mod tests {
             t.validate(&g, &m).unwrap_err(),
             ScheduleError::Overlap { .. }
         ));
+    }
+
+    #[test]
+    fn overlap_report_is_the_lowest_offending_processor() {
+        // Overlaps on PE3 and PE1, listed PE3 first: the report must not
+        // depend on a hash order, so it names PE1 every time.
+        let mut b = DdgBuilder::new();
+        for i in 0..4 {
+            b.node_lat(format!("n{i}"), 2);
+        }
+        let g = b.build().unwrap();
+        let m = MachineConfig::new(4, 1);
+        let at = |node, proc, start| Placement {
+            inst: inst(node, 0),
+            proc,
+            start,
+        };
+        let t = ScheduleTable::new(vec![at(0, 3, 0), at(1, 3, 1), at(2, 1, 5), at(3, 1, 4)]);
+        for _ in 0..8 {
+            assert_eq!(
+                t.validate(&g, &m).unwrap_err(),
+                ScheduleError::Overlap {
+                    proc: 1,
+                    a: inst(3, 0),
+                    b: inst(2, 0)
+                }
+            );
+        }
     }
 
     #[test]

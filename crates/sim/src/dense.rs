@@ -1,151 +1,18 @@
-//! Dense per-instance indexing shared by the simulation engines.
+//! The dense per-instance index, seen from the simulators.
 //!
-//! A [`kn_sched::Program`] normally covers a rectangular instance space —
-//! every instance is `(node, iter)` with bounds discoverable in one pass —
-//! so per-instance tables can be flat `Vec`s indexed by
-//! `node * iters + iter` instead of `HashMap<InstanceId, _>`. On the
-//! simulator hot paths (one lookup per dependence edge per instance) this
-//! removes all hashing and heap churn.
-//!
-//! Hand-built programs are not obliged to be rectangular, though: a single
-//! instance at iteration 10⁹ would stretch the rectangle to `nodes × 10⁹`
-//! slots. When the rectangle is much larger than the instance count the
-//! index falls back to a compact map — the pre-dense engines' behavior —
-//! so degenerate programs stay cheap instead of aborting on allocation.
+//! The index itself — [`kn_sched::InstanceIndex`] / [`kn_sched::StartTable`],
+//! `node * iters + iter` with a compact-map fallback for degenerate
+//! programs — lives in `kn_sched::dense`, shared with the schedulers, the
+//! runtime and the certifiers, and is unit-tested there. This module holds
+//! the simulator-level guarantee: every engine produces the same
+//! [`crate::SimResult`] whether the program's table is dense or tripped the
+//! sparse fallback, and `SimResult: PartialEq` means "same starts" across
+//! the two forms.
 
-use kn_ddg::{Ddg, InstanceId};
-use kn_sched::{Cycle, Program, ProgramError};
-use std::collections::HashMap;
-
-/// When the `nodes × iters` rectangle exceeds this many times the actual
-/// instance count (plus slack for tiny programs), use the sparse fallback.
-const SPARSE_FACTOR: usize = 8;
-const SPARSE_SLACK: usize = 4096;
-
-enum Index {
-    /// `assign[node * iters + iter]`; `u32::MAX` marks "not in program".
-    /// Slot index == flat rectangle index.
-    Dense { iters: u32, assign: Vec<u32> },
-    /// `(proc, slot)` per instance; slots are assigned 0..len in program
-    /// order, so parallel tables stay `prog.len()`-sized.
-    Sparse(HashMap<InstanceId, (u32, u32)>),
-}
-
-/// Processor-assignment table plus the index geometry for any other
-/// per-instance table of the same program.
-pub(crate) struct DenseProgram {
-    nodes: usize,
-    iters: u32,
-    table_len: usize,
-    index: Index,
-}
-
-impl DenseProgram {
-    /// One pass over the program: find the bounds, build the assignment
-    /// table, and reject duplicate instances (same check the map-based
-    /// engines performed via `assignment().len()`).
-    pub(crate) fn build(prog: &Program, g: &Ddg) -> Result<Self, ProgramError> {
-        let mut nodes = g.node_count();
-        let mut iters = prog.iters.max(1);
-        for inst in prog.seqs.iter().flatten() {
-            nodes = nodes.max(inst.node.0 as usize + 1);
-            iters = iters.max(inst.iter + 1);
-        }
-        let rectangle = nodes.saturating_mul(iters as usize);
-        if rectangle > prog.len().saturating_mul(SPARSE_FACTOR) + SPARSE_SLACK {
-            let mut assign: HashMap<InstanceId, (u32, u32)> = HashMap::with_capacity(prog.len());
-            let mut slot = 0u32;
-            for (p, seq) in prog.seqs.iter().enumerate() {
-                for &inst in seq {
-                    if assign.insert(inst, (p as u32, slot)).is_some() {
-                        return Err(ProgramError::DuplicateInstance);
-                    }
-                    slot += 1;
-                }
-            }
-            return Ok(Self {
-                nodes,
-                iters,
-                table_len: prog.len(),
-                index: Index::Sparse(assign),
-            });
-        }
-        let mut assign = vec![u32::MAX; rectangle];
-        for (p, seq) in prog.seqs.iter().enumerate() {
-            for &inst in seq {
-                let i = inst.node.0 as usize * iters as usize + inst.iter as usize;
-                if assign[i] != u32::MAX {
-                    return Err(ProgramError::DuplicateInstance);
-                }
-                assign[i] = p as u32;
-            }
-        }
-        Ok(Self {
-            nodes,
-            iters,
-            table_len: rectangle,
-            index: Index::Dense { iters, assign },
-        })
-    }
-
-    /// Size for a parallel per-instance table.
-    #[inline]
-    pub(crate) fn table_len(&self) -> usize {
-        self.table_len
-    }
-
-    /// Slot of an instance **known to be part of the program** (e.g. taken
-    /// from its `seqs`, or positively identified via [`Self::proc_of`]).
-    #[inline]
-    pub(crate) fn idx(&self, inst: InstanceId) -> usize {
-        match &self.index {
-            Index::Dense { iters, .. } => {
-                debug_assert!((inst.node.0 as usize) < self.nodes && inst.iter < self.iters);
-                inst.node.0 as usize * *iters as usize + inst.iter as usize
-            }
-            Index::Sparse(map) => map[&inst].1 as usize,
-        }
-    }
-
-    /// Processor of `inst`, or `None` when the instance is not part of the
-    /// program (including instances outside the rectangular bounds, e.g. a
-    /// successor `iter + distance` past the last iteration).
-    #[inline]
-    pub(crate) fn proc_of(&self, inst: InstanceId) -> Option<usize> {
-        match &self.index {
-            Index::Dense { iters, assign } => {
-                if inst.node.0 as usize >= self.nodes || inst.iter >= *iters {
-                    return None;
-                }
-                let p = assign[inst.node.0 as usize * *iters as usize + inst.iter as usize];
-                (p != u32::MAX).then_some(p as usize)
-            }
-            Index::Sparse(map) => map.get(&inst).map(|&(p, _)| p as usize),
-        }
-    }
-
-    /// Convert a per-slot `(proc, start)` table (proc `u32::MAX` = never
-    /// started) into the public `SimResult` map.
-    pub(crate) fn export_starts(
-        &self,
-        prog: &Program,
-        starts: &[(u32, Cycle)],
-    ) -> HashMap<InstanceId, (usize, Cycle)> {
-        let mut out = HashMap::with_capacity(prog.len());
-        for &inst in prog.seqs.iter().flatten() {
-            let (p, t) = starts[self.idx(inst)];
-            if p != u32::MAX {
-                out.insert(inst, (p as usize, t));
-            }
-        }
-        out
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use kn_ddg::{DdgBuilder, NodeId};
+    use crate::{simulate, simulate_event_with, EventEngine, LinkModel, TrafficModel};
+    use kn_ddg::{DdgBuilder, InstanceId, NodeId};
+    use kn_sched::{MachineConfig, Program, StartTable};
 
     fn inst(node: u32, iter: u32) -> InstanceId {
         InstanceId {
@@ -154,82 +21,16 @@ mod tests {
         }
     }
 
-    fn two_node_graph() -> Ddg {
-        let mut b = DdgBuilder::new();
-        b.node("x");
-        b.node("y");
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn build_and_lookup() {
-        let g = two_node_graph();
-        let prog = Program {
-            seqs: vec![vec![inst(0, 0), inst(0, 1)], vec![inst(1, 0)]],
-            iters: 2,
-        };
-        let d = DenseProgram::build(&prog, &g).unwrap();
-        assert_eq!(d.proc_of(inst(0, 0)), Some(0));
-        assert_eq!(d.proc_of(inst(0, 1)), Some(0));
-        assert_eq!(d.proc_of(inst(1, 0)), Some(1));
-        assert_eq!(d.proc_of(inst(1, 1)), None, "in bounds but absent");
-        assert_eq!(d.proc_of(inst(1, 7)), None, "iteration out of bounds");
-        assert_eq!(d.proc_of(inst(9, 0)), None, "node out of bounds");
-    }
-
-    #[test]
-    fn duplicates_rejected() {
-        let g = two_node_graph();
-        let prog = Program {
-            seqs: vec![vec![inst(0, 0)], vec![inst(0, 0)]],
-            iters: 1,
-        };
-        assert!(matches!(
-            DenseProgram::build(&prog, &g),
-            Err(ProgramError::DuplicateInstance)
-        ));
-    }
-
-    #[test]
-    fn bounds_cover_instances_beyond_declared_iters() {
-        // Hand-built programs may exceed `prog.iters`; the table stretches.
-        let g = two_node_graph();
-        let prog = Program {
-            seqs: vec![vec![inst(1, 5)]],
-            iters: 1,
-        };
-        let d = DenseProgram::build(&prog, &g).unwrap();
-        assert_eq!(d.proc_of(inst(1, 5)), Some(0));
-        assert_eq!(d.proc_of(inst(1, 4)), None);
-    }
-
-    #[test]
-    fn export_skips_unstarted() {
-        let g = two_node_graph();
-        let prog = Program {
-            seqs: vec![vec![inst(0, 0), inst(1, 0)]],
-            iters: 1,
-        };
-        let d = DenseProgram::build(&prog, &g).unwrap();
-        let mut starts = vec![(u32::MAX, 0); d.table_len()];
-        starts[d.idx(inst(0, 0))] = (0, 3);
-        let m = d.export_starts(&prog, &starts);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[&inst(0, 0)], (0, 3));
-    }
-
     #[test]
     fn sparse_and_dense_indexing_yield_identical_sim_results() {
-        // The same degenerate program, straddling the SPARSE_FACTOR
-        // threshold from both sides: the graph's node count sets the
-        // rectangle size, so padding the graph with isolated (never
-        // instantiated) nodes pushes the identical program from the dense
-        // index into the sparse fallback without changing its semantics.
-        // Every engine must produce byte-identical `SimResult`s on both.
-        use crate::{simulate, simulate_event_with, EventEngine, LinkModel, TrafficModel};
-
+        // The same degenerate program, straddling the sparse threshold
+        // from both sides: the graph's node count sets the rectangle size,
+        // so padding the graph with isolated (never instantiated) nodes
+        // pushes the identical program from the dense index into the
+        // sparse fallback without changing its semantics. Every engine
+        // must produce identical `SimResult`s on both.
         let build_graph = |pads: usize| {
-            let mut b = kn_ddg::DdgBuilder::new();
+            let mut b = DdgBuilder::new();
             let x = b.node("x");
             let y = b.node("y");
             b.dep(x, y);
@@ -245,21 +46,21 @@ mod tests {
             seqs: vec![vec![inst(0, 40)], vec![inst(1, 40)]],
             iters: 41,
         };
-        assert!(matches!(
-            DenseProgram::build(&prog, &dense_g).unwrap().index,
-            Index::Dense { .. }
-        ));
-        assert!(matches!(
-            DenseProgram::build(&prog, &sparse_g).unwrap().index,
-            Index::Sparse(_)
-        ));
+        let is_dense = |g| {
+            StartTable::for_program(&prog, g)
+                .unwrap()
+                .index()
+                .is_dense()
+        };
+        assert!(is_dense(&dense_g) && !is_dense(&sparse_g));
 
-        let m = kn_sched::MachineConfig::new(2, 3);
+        let m = MachineConfig::new(2, 3);
         let t = TrafficModel { mm: 3, seed: 17 };
         let a = simulate(&prog, &dense_g, &m, &t).unwrap();
         let b = simulate(&prog, &sparse_g, &m, &t).unwrap();
         assert_eq!(a, b, "fixpoint: dense vs sparse");
         assert!(a.makespan > 0 && a.messages == 1);
+        assert_eq!(a.start.len(), 2);
         for link in [LinkModel::Unlimited, LinkModel::SingleMessage] {
             for engine in [EventEngine::Heap, EventEngine::Calendar] {
                 let a = simulate_event_with(&prog, &dense_g, &m, &t, link, engine).unwrap();
@@ -267,34 +68,8 @@ mod tests {
                 assert_eq!(a, b, "event {link:?} {engine:?}: dense vs sparse");
             }
         }
-    }
-
-    #[test]
-    fn degenerate_high_iteration_uses_sparse_fallback() {
-        // One instance at iteration 2^31: the rectangle would be ~2 * 2^31
-        // slots (> 8 GB of u32); the sparse index keeps it at one entry.
-        let g = two_node_graph();
-        let prog = Program {
-            seqs: vec![vec![inst(1, 1 << 31)], vec![inst(0, 0)]],
-            iters: 1,
-        };
-        let d = DenseProgram::build(&prog, &g).unwrap();
-        assert!(matches!(d.index, Index::Sparse(_)));
-        assert_eq!(d.table_len(), 2);
-        assert_eq!(d.proc_of(inst(1, 1 << 31)), Some(0));
-        assert_eq!(d.proc_of(inst(0, 0)), Some(1));
-        assert_eq!(d.proc_of(inst(0, 7)), None);
-        // Slots are distinct and within the table.
-        let (a, b) = (d.idx(inst(1, 1 << 31)), d.idx(inst(0, 0)));
-        assert!(a != b && a < 2 && b < 2);
-        // Duplicates still rejected in sparse mode.
-        let dup = Program {
-            seqs: vec![vec![inst(1, 1 << 31)], vec![inst(1, 1 << 31)]],
-            iters: 1,
-        };
-        assert!(matches!(
-            DenseProgram::build(&dup, &g),
-            Err(ProgramError::DuplicateInstance)
-        ));
+        // `==` still tells different starts apart across the two forms.
+        let c = simulate(&prog, &sparse_g, &MachineConfig::new(2, 9), &t).unwrap();
+        assert_ne!(a.start, c.start, "a longer link delays y");
     }
 }

@@ -36,9 +36,14 @@
 //!   operation, no tuning, the reference implementation.
 //! * **Calendar** (default) — a bucketed calendar queue: a cycle-indexed
 //!   ring of buckets covering `[now, now + buckets.len())`, one bucket per
-//!   cycle, each bucket a vector drained in push (= seq) order, so
-//!   same-cycle FIFO holds *by construction*. Push and pop are `O(1)`
-//!   amortized. Events beyond the ring horizon park in an overflow heap
+//!   cycle, each bucket a FIFO list appended at the tail and popped at the
+//!   head (= seq order), so same-cycle FIFO holds *by construction*. The
+//!   ring itself is flat: a bucket is a `(head, tail)` pair of indices
+//!   into one entry arena (`seq, kind, next`) shared by all buckets, and
+//!   popped entries go onto a free list the next push reuses — the queue
+//!   allocates for its high-water mark of pending events, not per bucket
+//!   and not per event. Push and pop are `O(1)` amortized. Events beyond
+//!   the ring horizon park in an overflow heap
 //!   and migrate into the ring as the horizon advances; sustained overflow
 //!   pressure lazily doubles the ring (up to the internal `MAX_BUCKETS`
 //!   cap), so
@@ -47,10 +52,9 @@
 //!   what makes 10⁵-iteration `SingleMessage` sweeps cheap (see
 //!   `BENCH_sched.json`'s `event_entries`).
 
-use crate::dense::DenseProgram;
 use crate::{ProcStats, SimResult, TrafficModel};
 use kn_ddg::{Ddg, InstanceId};
-use kn_sched::{ArrivalConvention, Cycle, MachineConfig, Program, ProgramError};
+use kn_sched::{ArrivalConvention, Cycle, MachineConfig, Program, ProgramError, StartTable};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -148,7 +152,7 @@ impl HeapQueue {
 }
 
 /// Ring size the calendar queue starts with; doubles under overflow
-/// pressure. 1024 buckets is 24 KiB of headers — small enough to always
+/// pressure. 1024 buckets is 8 KiB of links — small enough to always
 /// pay, large enough that short sims never resize.
 const INITIAL_BUCKETS: usize = 1024;
 /// Lazy-resize ceiling: ~10⁶ cycles of horizon. Beyond this span the far
@@ -156,14 +160,38 @@ const INITIAL_BUCKETS: usize = 1024;
 /// those events).
 const MAX_BUCKETS: usize = 1 << 20;
 
+/// "No entry": terminates bucket lists and the free list.
+const NIL: u32 = u32::MAX;
+
+/// One pending ring event, linked to the next event of its bucket (or,
+/// once popped, to the next free entry).
+#[derive(Clone, Copy)]
+struct Entry {
+    seq: u64,
+    kind: EventKind,
+    next: u32,
+}
+
+/// A bucket's FIFO list in the entry arena; both `NIL` when empty.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY_BUCKET: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
+
 /// Bucketed calendar queue (see the module docs for the design).
 ///
 /// Invariants:
-/// * `buckets[t & mask]` holds exactly the pending events for cycle `t`,
-///   for `t` in `[now, now + buckets.len())`, as `(seq, kind)` pairs in
-///   increasing `seq` order;
-/// * entries in `[0, cursor)` of the current bucket (`now & mask`) have
-///   already been popped; past buckets are cleared when `now` advances;
+/// * the list of `buckets[t & mask]` holds exactly the pending events for
+///   cycle `t`, for `t` in `[now, now + buckets.len())`, linked head to
+///   tail in increasing `seq` order; every bucket outside that range is
+///   empty;
+/// * every arena entry is on exactly one bucket list or on the free list;
 /// * `overflow` holds exactly the events at cycles `>= now +
 ///   buckets.len()`, keyed `(cycle, seq)`.
 ///
@@ -174,12 +202,14 @@ const MAX_BUCKETS: usize = 1 << 20;
 /// and migration drains the overflow heap in `(cycle, seq)` order before
 /// any direct push can target the newly covered cycle.
 struct CalendarQueue {
-    buckets: Vec<Vec<(u64, EventKind)>>,
+    /// Entry arena; grows only when the free list is empty.
+    entries: Vec<Entry>,
+    /// Head of the free list threaded through `Entry::next`.
+    free: u32,
+    buckets: Vec<Bucket>,
     mask: u64,
     /// Cycle owning the bucket currently being drained; never decreases.
     now: Cycle,
-    /// Read index into the current bucket.
-    cursor: usize,
     /// Live events stored in the ring.
     ring_len: usize,
     /// Events beyond the ring horizon.
@@ -197,10 +227,11 @@ impl CalendarQueue {
     fn with_capacity(capacity: usize) -> Self {
         let n = capacity.next_power_of_two().min(MAX_BUCKETS);
         Self {
-            buckets: vec![Vec::new(); n],
+            entries: Vec::new(),
+            free: NIL,
+            buckets: vec![EMPTY_BUCKET; n],
             mask: n as u64 - 1,
             now: 0,
-            cursor: 0,
             ring_len: 0,
             overflow: BinaryHeap::new(),
             seq: 0,
@@ -212,14 +243,42 @@ impl CalendarQueue {
         self.now + self.buckets.len() as Cycle
     }
 
+    /// Append an event to the list of cycle `time` (inside the horizon),
+    /// reusing a free arena entry when there is one.
+    #[inline]
+    fn link(&mut self, time: Cycle, seq: u64, kind: EventKind) {
+        let entry = Entry {
+            seq,
+            kind,
+            next: NIL,
+        };
+        let i = if self.free != NIL {
+            let i = self.free;
+            self.free = self.entries[i as usize].next;
+            self.entries[i as usize] = entry;
+            i
+        } else {
+            assert!(self.entries.len() < NIL as usize, "event arena full");
+            self.entries.push(entry);
+            (self.entries.len() - 1) as u32
+        };
+        let bucket = &mut self.buckets[(time & self.mask) as usize];
+        if bucket.tail == NIL {
+            bucket.head = i;
+        } else {
+            self.entries[bucket.tail as usize].next = i;
+        }
+        bucket.tail = i;
+        self.ring_len += 1;
+    }
+
     #[inline]
     fn push(&mut self, time: Cycle, kind: EventKind) {
         debug_assert!(time >= self.now, "event scheduled in the past");
         let seq = self.seq;
         self.seq += 1;
         if time < self.horizon_end() {
-            self.buckets[(time & self.mask) as usize].push((seq, kind));
-            self.ring_len += 1;
+            self.link(time, seq, kind);
         } else {
             self.overflow.push(Reverse((time, seq, kind)));
             // Every parked event is handled twice (heap round-trip plus
@@ -234,20 +293,24 @@ impl CalendarQueue {
     fn pop(&mut self) -> Option<(Cycle, EventKind)> {
         loop {
             let idx = (self.now & self.mask) as usize;
-            if self.cursor < self.buckets[idx].len() {
-                let (seq, kind) = self.buckets[idx][self.cursor];
+            let i = self.buckets[idx].head;
+            if i != NIL {
+                let Entry { seq, kind, next } = self.entries[i as usize];
                 debug_assert!(
-                    self.cursor == 0 || self.buckets[idx][self.cursor - 1].0 < seq,
+                    next == NIL || seq < self.entries[next as usize].seq,
                     "bucket not in push order"
                 );
-                let _ = seq;
-                self.cursor += 1;
+                let bucket = &mut self.buckets[idx];
+                bucket.head = next;
+                if next == NIL {
+                    bucket.tail = NIL;
+                }
+                self.entries[i as usize].next = self.free;
+                self.free = i;
                 self.ring_len -= 1;
                 return Some((self.now, kind));
             }
-            // Current bucket exhausted: recycle it and move time forward.
-            self.buckets[idx].clear();
-            self.cursor = 0;
+            // Current bucket exhausted: move time forward.
             if self.ring_len > 0 {
                 // Next event is inside the horizon; step one cycle.
                 self.now += 1;
@@ -269,26 +332,23 @@ impl CalendarQueue {
                 break;
             }
             let Reverse((t, s, k)) = self.overflow.pop().expect("peeked");
-            self.buckets[(t & self.mask) as usize].push((s, k));
-            self.ring_len += 1;
+            self.link(t, s, k);
         }
     }
 
-    /// Double the ring and re-home its live range, then drain newly
-    /// covered overflow. Amortized against the overflow pressure that
-    /// triggered it.
+    /// Double the ring and re-home its live range — whole lists move, a
+    /// half-drained current bucket keeps exactly its unpopped tail — then
+    /// drain newly covered overflow. Amortized against the overflow
+    /// pressure that triggered it.
     fn grow(&mut self) {
         let new_len = (self.buckets.len() * 2).min(MAX_BUCKETS);
         if new_len == self.buckets.len() {
             return;
         }
         let new_mask = new_len as u64 - 1;
-        let mut buckets: Vec<Vec<(u64, EventKind)>> = vec![Vec::new(); new_len];
+        let mut buckets = vec![EMPTY_BUCKET; new_len];
         for t in self.now..self.horizon_end() {
-            let old = std::mem::take(&mut self.buckets[(t & self.mask) as usize]);
-            if !old.is_empty() {
-                buckets[(t & new_mask) as usize] = old;
-            }
+            buckets[(t & new_mask) as usize] = self.buckets[(t & self.mask) as usize];
         }
         self.buckets = buckets;
         self.mask = new_mask;
@@ -357,22 +417,25 @@ pub fn simulate_event_with(
     link: LinkModel,
     engine: EventEngine,
 ) -> Result<SimResult, ProgramError> {
-    // Dense per-instance tables indexed by `node * iters + iter` — the
-    // bounds are known up front, so no `HashMap<InstanceId, _>` is needed
-    // anywhere in the engine.
-    let dense = DenseProgram::build(prog, g)?;
+    // The program's shared start table (`node * iters + iter`, see
+    // `kn_sched::dense`): processor lookups read it, start times go
+    // straight into it, and it leaves as `SimResult::start`. The engine's
+    // own per-instance bookkeeping is a parallel table on the same index.
+    let mut start_times = StartTable::for_program(prog, g)?;
+    let slot = |t: &StartTable, inst: InstanceId| t.index().slot(inst).expect("in program");
     let nprocs = prog.processors();
     let total = prog.len();
 
     // Per-instance dependence bookkeeping.
-    let mut state: Vec<InstState> = vec![InstState { waits: 0, ready: 0 }; dense.table_len()];
+    let mut state: Vec<InstState> =
+        vec![InstState { waits: 0, ready: 0 }; start_times.index().table_len()];
     for seq in prog.seqs.iter() {
         for &inst in seq {
             let waits = g
                 .in_edges(inst.node)
                 .filter(|(_, e)| {
                     e.distance <= inst.iter
-                        && dense
+                        && start_times
                             .proc_of(InstanceId {
                                 node: e.src,
                                 iter: inst.iter - e.distance,
@@ -380,7 +443,7 @@ pub fn simulate_event_with(
                             .is_some()
                 })
                 .count() as u32;
-            state[dense.idx(inst)].waits = waits;
+            state[slot(&start_times, inst)].waits = waits;
         }
     }
 
@@ -388,8 +451,6 @@ pub fn simulate_event_with(
     let mut busy = vec![false; nprocs];
     let mut clock = vec![0 as Cycle; nprocs];
     let mut stats: Vec<ProcStats> = vec![ProcStats::default(); nprocs];
-    // `(proc, start)` per instance; `proc == u32::MAX` marks "not started".
-    let mut start_times: Vec<(u32, Cycle)> = vec![(u32::MAX, 0); dense.table_len()];
     // Directed-pair link frontier, `p * nprocs + sp`.
     let mut link_free: Vec<Cycle> = vec![0; nprocs * nprocs];
     let mut queue = Queue::new(engine);
@@ -404,20 +465,20 @@ pub fn simulate_event_with(
                      busy: &mut [bool],
                      clock: &mut [Cycle],
                      state: &[InstState],
-                     start_times: &mut [(u32, Cycle)],
+                     start_times: &mut StartTable,
                      stats: &mut [ProcStats],
                      queue: &mut Queue| {
         if busy[p] || head[p] >= prog.seqs[p].len() {
             return;
         }
         let inst = prog.seqs[p][head[p]];
-        let st = state[dense.idx(inst)];
+        let st = state[slot(start_times, inst)];
         if st.waits > 0 {
             return;
         }
         let start = clock[p].max(st.ready).max(now);
         let lat = g.latency(inst.node) as Cycle;
-        start_times[dense.idx(inst)] = (p as u32, start);
+        start_times.set_start(inst, start);
         stats[p].busy += lat;
         stats[p].executed += 1;
         busy[p] = true;
@@ -460,11 +521,11 @@ pub fn simulate_event_with(
                         node: e.dst,
                         iter: inst.iter + e.distance,
                     };
-                    let Some(sp) = dense.proc_of(succ) else {
+                    let Some(sp) = start_times.proc_of(succ) else {
                         continue;
                     };
                     if sp == p {
-                        let st = &mut state[dense.idx(succ)];
+                        let st = &mut state[slot(&start_times, succ)];
                         st.waits -= 1;
                         st.ready = st.ready.max(now);
                         if st.waits == 0 {
@@ -522,8 +583,8 @@ pub fn simulate_event_with(
                     node: kn_ddg::NodeId(node),
                     iter,
                 };
-                let p = dense.proc_of(inst).expect("in program");
-                let st = &mut state[dense.idx(inst)];
+                let p = start_times.proc_of(inst).expect("in program");
+                let st = &mut state[slot(&start_times, inst)];
                 st.waits -= 1;
                 st.ready = st.ready.max(now);
                 if st.waits == 0 {
@@ -547,7 +608,7 @@ pub fn simulate_event_with(
         return Err(ProgramError::Deadlock { timed: done, total });
     }
     Ok(SimResult {
-        start: dense.export_starts(prog, &start_times),
+        start: start_times,
         makespan,
         messages,
         comm_cycles,
@@ -601,9 +662,7 @@ mod tests {
                 let b =
                     simulate_event_with(&prog, &g, &m, &t, LinkModel::Unlimited, engine).unwrap();
                 assert_eq!(a.makespan, b.makespan, "mm={mm} {engine:?}");
-                for (inst, &(p, s)) in &a.start {
-                    assert_eq!(b.start[inst], (p, s), "mm={mm} {engine:?} {inst}");
-                }
+                assert_eq!(a.start, b.start, "mm={mm} {engine:?}");
             }
         }
     }
@@ -619,8 +678,12 @@ mod tests {
             let tight =
                 simulate_event_with(&prog, &g, &m, &t, LinkModel::SingleMessage, engine).unwrap();
             assert!(tight.makespan >= free.makespan);
-            for (inst, &(_, s)) in &free.start {
-                assert!(tight.start[inst].1 >= s, "{engine:?} {inst}");
+            for p in free.start.iter() {
+                let inst = p.inst;
+                assert!(
+                    tight.start_of(inst).unwrap() >= p.start,
+                    "{engine:?} {inst}"
+                );
             }
         }
     }
@@ -796,13 +859,13 @@ mod tests {
             // y finishes at 2: cy's message departs at 4 (link busy until
             // then), usable at 6 — send order = event order.
             assert_eq!(
-                r.start[&InstanceId { node: cx, iter: 0 }],
-                (1, 3),
+                r.start.get(InstanceId { node: cx, iter: 0 }),
+                Some((1, 3)),
                 "{engine:?}"
             );
             assert_eq!(
-                r.start[&InstanceId { node: cy, iter: 0 }],
-                (1, 6),
+                r.start.get(InstanceId { node: cy, iter: 0 }),
+                Some((1, 6)),
                 "{engine:?}"
             );
         }
@@ -812,7 +875,11 @@ mod tests {
     /// (interleaved pushes and pops, bursts of same-cycle ties, spans far
     /// beyond the calendar's initial capacity) and require identical pop
     /// sequences. A tiny initial ring forces the overflow, grow, and
-    /// empty-ring jump paths.
+    /// empty-ring jump paths. Even trials let the backlog grow without
+    /// bound; odd trials hold it near 48 pending events, so the arena stays
+    /// small and its free list is recycled dozens of times over. Every
+    /// trial then half-drains the current bucket and forces a `grow()`
+    /// under it.
     #[test]
     fn calendar_queue_matches_heap_queue_on_random_streams() {
         let mut rng: u64 = 0x2545_F491_4F6C_DD1D;
@@ -823,12 +890,15 @@ mod tests {
             rng
         };
         for trial in 0..20u32 {
+            let bounded = trial % 2 == 1;
             let mut heap = HeapQueue::new();
             let mut cal = CalendarQueue::with_capacity(4);
             let mut now: Cycle = 0;
             let mut pending = 0usize;
+            let mut pushes = 0usize;
             for step in 0..5_000u32 {
-                if pending == 0 || next() % 3 != 0 {
+                let mostly_push = !bounded || pending < 48;
+                if pending == 0 || (next() % 3 != 0) == mostly_push {
                     // Push: time >= now, sometimes exactly now (tie),
                     // sometimes far beyond the ring horizon.
                     let gap = match next() % 4 {
@@ -841,6 +911,7 @@ mod tests {
                     heap.push(now + gap, kind);
                     cal.push(now + gap, kind);
                     pending += 1;
+                    pushes += 1;
                 } else {
                     let h = heap.pop();
                     let c = cal.pop();
@@ -849,6 +920,36 @@ mod tests {
                     pending -= 1;
                 }
             }
+            if bounded {
+                assert!(
+                    pushes > 20 * cal.entries.len(),
+                    "trial {trial}: {pushes} pushes through a {}-entry arena",
+                    cal.entries.len()
+                );
+            }
+
+            // Eight ties in the current bucket, four of them popped, then
+            // enough far-future events to double the ring: the unpopped
+            // half must move with it and still pop first, in push order.
+            for j in 0..8 {
+                let kind = EventKind::Finish(0, trial, j);
+                heap.push(now, kind);
+                cal.push(now, kind);
+            }
+            for _ in 0..4 {
+                assert_eq!(heap.pop(), cal.pop(), "trial {trial} half drain");
+            }
+            assert_eq!(cal.now, now);
+            let ring = cal.buckets.len();
+            for j in 0..ring as u64 {
+                let kind = EventKind::Arrive(trial, 5_000 + j as u32);
+                heap.push(now + ring as u64 + j, kind);
+                cal.push(now + ring as u64 + j, kind);
+            }
+            assert!(cal.buckets.len() > ring, "trial {trial}: grow() fired");
+            assert_eq!(cal.now, now, "grow() does not advance time");
+            assert!(cal.buckets[(now & cal.mask) as usize].head != NIL);
+
             loop {
                 let h = heap.pop();
                 let c = cal.pop();
@@ -857,6 +958,7 @@ mod tests {
                     break;
                 }
             }
+            assert_eq!(cal.ring_len, 0);
         }
     }
 

@@ -14,15 +14,22 @@
 //!
 //! Fluctuation is sampled *per message* by hashing `(seed, edge, iteration)`
 //! so results are deterministic and independent of event-processing order.
+//!
+//! Neither engine owns any per-instance storage scheme of its own: both
+//! build the program's [`kn_sched::StartTable`] (flat, `node * iters +
+//! iter`, no hashing) and hand it back as [`SimResult::start`] unconverted.
+//! [`simulate`] is `kn_sched::sweep` — the very fixpoint sweep behind
+//! `kn_sched::static_times` — with a message cost that fluctuates; the
+//! [`event`] engine fills the same table from its event loop.
 
+#[cfg(test)]
 mod dense;
 pub mod event;
 
 pub use event::{simulate_event, simulate_event_with, EventEngine, LinkModel};
 
 use kn_ddg::{Ddg, EdgeId, InstanceId};
-use kn_sched::{Cycle, MachineConfig, Program, ProgramError};
-use std::collections::HashMap;
+use kn_sched::{Cycle, MachineConfig, Program, ProgramError, StartTable};
 
 /// Run-time communication traffic model.
 #[derive(Clone, Copy, Debug)]
@@ -118,7 +125,7 @@ pub struct ProcStats {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimResult {
     /// Start cycle and processor per instance.
-    pub start: HashMap<InstanceId, (usize, Cycle)>,
+    pub start: StartTable,
     /// Completion time of the whole program.
     pub makespan: Cycle,
     /// Cross-processor messages delivered.
@@ -132,7 +139,12 @@ pub struct SimResult {
 impl SimResult {
     /// Start cycle of an instance.
     pub fn start_of(&self, inst: InstanceId) -> Option<Cycle> {
-        self.start.get(&inst).map(|&(_, t)| t)
+        self.start.start_of(inst)
+    }
+
+    /// Processor of an instance.
+    pub fn proc_of(&self, inst: InstanceId) -> Option<usize> {
+        self.start.proc_of(inst)
     }
 
     /// Machine utilization: busy cycles over (processors × makespan).
@@ -178,96 +190,43 @@ pub fn sequential_time(g: &Ddg, iters: u32) -> Cycle {
 /// assert_eq!(r.makespan, 4); // x: [0,1), message, y starts at 3
 /// ```
 ///
-/// Identical to `kn_sched::static_times` except that each message's cost is
-/// the estimate plus the traffic model's fluctuation. Start times are the
-/// least fixpoint of the dataflow constraints, computed by a work-list
-/// sweep over processor heads; the result is therefore *the* asynchronous
-/// execution (it does not depend on any event ordering).
+/// This is `kn_sched::static_times`' fixpoint sweep (`kn_sched::sweep`)
+/// with each message's cost being the estimate plus the traffic model's
+/// fluctuation. Start times are the least fixpoint of the dataflow
+/// constraints; the result is therefore *the* asynchronous execution (it
+/// does not depend on any event ordering).
 pub fn simulate(
     prog: &Program,
     g: &Ddg,
     m: &MachineConfig,
     traffic: &TrafficModel,
 ) -> Result<SimResult, ProgramError> {
-    // Dense per-instance tables (`node * iters + iter`); see `dense`.
-    let d = dense::DenseProgram::build(prog, g)?;
-    let total = prog.len();
-    let nprocs = prog.processors();
-    // `(proc, start)` per instance; `proc == u32::MAX` marks "not timed".
-    let mut start: Vec<(u32, Cycle)> = vec![(u32::MAX, 0); d.table_len()];
-    let mut head = vec![0usize; nprocs];
-    let mut clock = vec![0 as Cycle; nprocs];
-    let mut stats: Vec<ProcStats> = vec![ProcStats::default(); nprocs];
-    let mut timed = 0usize;
-    let mut makespan = 0;
     let mut messages = 0u64;
     let mut comm_cycles = 0u64;
-
-    loop {
-        let mut progress = false;
-        for p in 0..nprocs {
-            while head[p] < prog.seqs[p].len() {
-                let inst = prog.seqs[p][head[p]];
-                let mut ready: Cycle = clock[p];
-                let mut ok = true;
-                for (eid, e) in g.in_edges(inst.node) {
-                    if e.distance > inst.iter {
-                        continue;
-                    }
-                    let pred = InstanceId {
-                        node: e.src,
-                        iter: inst.iter - e.distance,
-                    };
-                    if d.proc_of(pred).is_some() {
-                        match start[d.idx(pred)] {
-                            (sp, st) if sp != u32::MAX => {
-                                let fin = m.finish(st, g.latency(pred.node));
-                                let r = if sp as usize == p {
-                                    m.local_ready(fin)
-                                } else {
-                                    let cost = m.edge_cost(e) + traffic.fluctuation(eid, inst.iter);
-                                    messages += 1;
-                                    comm_cycles += cost as u64;
-                                    m.remote_ready(fin, cost)
-                                };
-                                ready = ready.max(r);
-                            }
-                            _ => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if !ok {
-                    break;
-                }
-                let lat = g.latency(inst.node) as Cycle;
-                let fin = ready + lat;
-                start[d.idx(inst)] = (p as u32, ready);
-                clock[p] = fin;
-                stats[p].busy += lat;
-                stats[p].finish = fin;
-                stats[p].executed += 1;
-                makespan = makespan.max(fin);
-                head[p] += 1;
-                timed += 1;
-                progress = true;
-            }
-        }
-        if timed == total {
-            return Ok(SimResult {
-                start: d.export_starts(prog, &start),
-                makespan,
-                messages,
-                comm_cycles,
-                procs: stats,
-            });
-        }
-        if !progress {
-            return Err(ProgramError::Deadlock { timed, total });
-        }
-    }
+    let table = StartTable::for_program(prog, g)?;
+    let (start, finish) = kn_sched::sweep(prog, g, m, table, |eid, e, iter| {
+        let cost = m.edge_cost(e) + traffic.fluctuation(eid, iter);
+        messages += 1;
+        comm_cycles += cost as u64;
+        cost
+    })?;
+    let procs = prog
+        .seqs
+        .iter()
+        .zip(&finish)
+        .map(|(seq, &finish)| ProcStats {
+            busy: seq.iter().map(|i| g.latency(i.node) as Cycle).sum(),
+            finish,
+            executed: seq.len(),
+        })
+        .collect();
+    Ok(SimResult {
+        start,
+        makespan: finish.into_iter().max().unwrap_or(0),
+        messages,
+        comm_cycles,
+        procs,
+    })
 }
 
 #[cfg(test)]
@@ -311,9 +270,7 @@ mod tests {
         let sim = simulate(&prog, &g, &m, &TrafficModel::stable(7)).unwrap();
         let stat = static_times(&prog, &g, &m).unwrap();
         assert_eq!(sim.makespan, stat.makespan);
-        for (inst, &(p, t)) in &stat.start {
-            assert_eq!(sim.start[inst], (p, t), "instance {inst}");
-        }
+        assert_eq!(sim.start, stat.start);
     }
 
     #[test]
@@ -331,8 +288,8 @@ mod tests {
             );
             // Every instance starts no earlier than in the stable run
             // (monotonicity of the dataflow fixpoint).
-            for (inst, &(_, t)) in &base.start {
-                assert!(noisy.start[inst].1 >= t);
+            for p in base.start.iter() {
+                assert!(noisy.start_of(p.inst).unwrap() >= p.start);
             }
         }
     }
@@ -440,11 +397,7 @@ mod tests {
         let m = MachineConfig::new(2, 2);
         let (g, prog) = figure7_program(&m, 8);
         let sim = simulate(&prog, &g, &m, &TrafficModel::stable(2)).unwrap();
-        let placements: Vec<Placement> = sim
-            .start
-            .iter()
-            .map(|(&inst, &(proc, start))| Placement { inst, proc, start })
-            .collect();
+        let placements: Vec<Placement> = sim.start.iter().collect();
         ScheduleTable::new(placements).validate(&g, &m).unwrap();
     }
 }

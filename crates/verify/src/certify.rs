@@ -31,7 +31,7 @@ use crate::mii::{lint_ii, mii_bounds};
 use kn_ddg::{Ddg, InstanceId};
 use kn_sched::{
     Cycle, LoopSchedule, MachineConfig, Pattern, PatternOutcome, Placement, ScheduleTable,
-    TimedProgram,
+    StartTable, TimedProgram,
 };
 use std::collections::HashMap;
 
@@ -98,9 +98,14 @@ impl Sink {
     }
 }
 
-/// Certify a concrete placement table against `g` and `m` for `iters`
+/// Certify concrete placements against `g` and `m` for `iters`
 /// iterations. `subset`, when given, restricts coverage and dependence
 /// obligations to those nodes (others are external, ready at cycle 0).
+///
+/// The placements are gathered into a dense [`StartTable`] over the
+/// `nodes × iters` rectangle, and every later pass walks that table in
+/// slot order — findings (capped per code) come out in the same order on
+/// every run.
 fn certify_placements_impl(
     g: &Ddg,
     m: &MachineConfig,
@@ -113,8 +118,8 @@ fn certify_placements_impl(
     let in_subset = |v: kn_ddg::NodeId| subset.is_none_or(|s| s[v.index()]);
 
     // --- Coverage (KN032): each in-scope instance exactly once. ---
-    let mut by_inst: HashMap<InstanceId, Placement> = HashMap::with_capacity(placements.len());
-    for p in placements {
+    let mut by_inst = StartTable::with_bounds(g.node_count(), iters, placements.len());
+    for &p in placements {
         if p.inst.node.index() >= g.node_count() || p.inst.iter >= iters {
             sink.push(
                 Diagnostic::new(
@@ -128,7 +133,7 @@ fn certify_placements_impl(
             );
             continue;
         }
-        if let Some(prev) = by_inst.insert(p.inst, *p) {
+        if let Some(prev) = by_inst.insert(p) {
             sink.push(
                 Diagnostic::new(
                     Code::Kn032,
@@ -147,7 +152,7 @@ fn certify_placements_impl(
         }
         for i in 0..iters {
             let inst = InstanceId { node: v, iter: i };
-            if !by_inst.contains_key(&inst) {
+            if by_inst.get(inst).is_none() {
                 sink.push(
                     Diagnostic::new(
                         Code::Kn032,
@@ -163,36 +168,28 @@ fn certify_placements_impl(
     }
 
     // --- Resource feasibility (KN031): per-processor overlap. ---
-    let mut by_proc: HashMap<usize, Vec<Placement>> = HashMap::new();
-    for p in by_inst.values() {
-        by_proc.entry(p.proc).or_default().push(*p);
-    }
-    let mut procs: Vec<usize> = by_proc.keys().copied().collect();
-    procs.sort_unstable();
-    for proc in procs {
-        let seq = by_proc.get_mut(&proc).expect("key from keys()");
-        seq.sort_by_key(|p| (p.start, p.inst.iter, p.inst.node.0));
-        for w in seq.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            let fin = m.finish(a.start, g.latency(a.inst.node));
-            if fin > b.start {
-                sink.push(
-                    Diagnostic::new(
-                        Code::Kn031,
-                        format!(
-                            "processor {proc} oversubscribed: {} runs cycles {}..{} but {} starts at {}",
-                            a.inst, a.start, fin, b.inst, b.start
-                        ),
-                    )
-                    .with_nodes([a.inst.node, b.inst.node]),
-                );
-            }
+    let mut by_proc: Vec<Placement> = by_inst.iter().collect();
+    by_proc.sort_unstable_by_key(|p| (p.proc, p.start, p.inst.iter, p.inst.node.0));
+    for w in by_proc.windows(2) {
+        let (a, b) = (w[0], w[1]);
+        let fin = m.finish(a.start, g.latency(a.inst.node));
+        if a.proc == b.proc && fin > b.start {
+            sink.push(
+                Diagnostic::new(
+                    Code::Kn031,
+                    format!(
+                        "processor {} oversubscribed: {} runs cycles {}..{} but {} starts at {}",
+                        a.proc, a.inst, a.start, fin, b.inst, b.start
+                    ),
+                )
+                .with_nodes([a.inst.node, b.inst.node]),
+            );
         }
     }
 
     // --- Dependence satisfaction (KN030) + link pressure (KN033). ---
     let mut msgs: Vec<(Cycle, Cycle)> = Vec::new();
-    for c in by_inst.values() {
+    for c in by_inst.iter() {
         if !in_subset(c.inst.node) {
             continue;
         }
@@ -204,11 +201,11 @@ fn certify_placements_impl(
                 node: e.src,
                 iter: c.inst.iter - e.distance,
             };
-            let Some(p) = by_inst.get(&pred) else {
+            let Some((p_proc, p_start)) = by_inst.get(pred) else {
                 continue; // already a KN032 coverage finding
             };
-            let fin = m.finish(p.start, g.latency(e.src));
-            let ready = if p.proc == c.proc {
+            let fin = m.finish(p_start, g.latency(e.src));
+            let ready = if p_proc == c.proc {
                 m.local_ready(fin)
             } else {
                 m.remote_ready(fin, m.edge_cost(e))
@@ -227,7 +224,7 @@ fn certify_placements_impl(
                             pred.iter,
                             c.inst.iter,
                             pred,
-                            p.proc,
+                            p_proc,
                             c.inst,
                             c.proc,
                             c.start
@@ -237,7 +234,7 @@ fn certify_placements_impl(
                     .with_edges([eid]),
                 );
             }
-            if check_links && p.proc != c.proc {
+            if check_links && p_proc != c.proc {
                 msgs.push((fin, ready.max(fin)));
             }
         }
@@ -296,7 +293,8 @@ pub fn certify_table(g: &Ddg, m: &MachineConfig, table: &ScheduleTable, iters: u
 /// Certify a [`TimedProgram`] (e.g. DOACROSS or `static_times` output)
 /// for `iters` iterations.
 pub fn certify_timed(g: &Ddg, m: &MachineConfig, t: &TimedProgram, iters: u32) -> Report {
-    certify_table(g, m, &ScheduleTable::from_timed(t), iters)
+    let placements: Vec<Placement> = t.start.iter().collect();
+    certify_placements(g, m, &placements, iters)
 }
 
 /// Certify a periodic [`Pattern`] symbolically: kernel well-formedness
@@ -498,14 +496,8 @@ pub fn certify_loop_with(
     s: &LoopSchedule,
     opts: &CertifyOptions,
 ) -> Report {
-    let mut report = certify_placements_impl(
-        g,
-        m,
-        ScheduleTable::from_timed(&s.timing).placements(),
-        s.iters,
-        None,
-        opts.check_links,
-    );
+    let placements: Vec<Placement> = s.timing.start.iter().collect();
+    let mut report = certify_placements_impl(g, m, &placements, s.iters, None, opts.check_links);
     for o in &s.cyclic_outcomes {
         report.merge(certify_outcome(g, m, o));
     }
@@ -534,7 +526,7 @@ pub fn certify_loop_hook(g: &Ddg, m: &MachineConfig, s: &LoopSchedule) -> Result
 /// `debug_assert`-style hook for `DoacrossOptions::certify` (iteration
 /// count inferred from the timed program).
 pub fn certify_timed_hook(g: &Ddg, m: &MachineConfig, t: &TimedProgram) -> Result<(), String> {
-    let iters = t.start.keys().map(|inst| inst.iter + 1).max().unwrap_or(0);
+    let iters = t.start.iter().map(|p| p.inst.iter + 1).max().unwrap_or(0);
     let report = certify_timed(g, m, t, iters);
     match report.first_error() {
         Some(d) => Err(d.to_string()),
